@@ -24,7 +24,7 @@ pruning-soundness argument.
 
 from .choice import ScheduleChooser, ScheduleDivergence, message_key
 from .explorer import CheckResult, CheckStats, Explorer, minimize_counterexample
-from .fingerprint import canon, state_fingerprint
+from .fingerprint import FingerprintError, canon, state_fingerprint
 from .harness import RunOutcome, execute_run
 from .mutants import MUTANTS, Mutant, apply_mutant
 from .sharding import ShardRoots, schedule_prefix_roots, shard_roots_slice
@@ -33,6 +33,7 @@ __all__ = [
     "CheckResult",
     "CheckStats",
     "Explorer",
+    "FingerprintError",
     "MUTANTS",
     "Mutant",
     "RunOutcome",

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SimulationError
-from .fingerprint import canon
+from ..instrumentation import SIM_STEP
+from .fingerprint import FingerprintError, canon
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
@@ -45,14 +46,29 @@ class ScheduleDivergence(SimulationError):
 
 
 def message_key(message: Any) -> MessageKey:
-    """The semantic identity of one pending delivery."""
-    return (message.sender, message.dest, message.tag, canon(message.payload))
+    """The semantic identity of one pending delivery.
+
+    Raises :class:`~repro.checking.fingerprint.FingerprintError` for a
+    payload with no canonical form: a shared stand-in would make
+    distinct messages look alike to dedup and the sleep sets.
+    """
+    payload = canon(message.payload)
+    if payload is None:
+        raise FingerprintError(
+            f"{message.tag} from p{message.sender} to p{message.dest}: the "
+            f"payload has no canonical form"
+        )
+    return (message.sender, message.dest, message.tag, payload)
 
 
 class BaseChooser:
-    """Shared choice-point detection and task tracking for choosers."""
+    """Shared choice-point detection, task tracking and the per-process
+    fingerprint cache for choosers."""
 
     _deliver_cb: Any = None
+    #: Whether this chooser fingerprints states: if so, :meth:`attach`
+    #: arms the segment cache and its invalidation sink.
+    fingerprints: bool = False
 
     def __init__(self) -> None:
         #: Tasks created while this chooser was installed: fingerprint
@@ -64,10 +80,45 @@ class BaseChooser:
         #: Whether the model's channels are FIFO: only per-channel head
         #: deliveries are enabled transitions then.
         self.fifo: bool = False
+        #: ``pid -> tokens`` of each process's protocol walk, valid for
+        #: this execution only (``state_fingerprint``'s ``segments``);
+        #: ``None`` while no cache is armed.
+        self.segments: dict[int, list[str]] | None = None
+        self._step_probe: Any = None
 
     def attach(self, frame: Any) -> None:
-        """Receive the runtime frame the harness built for this run."""
+        """Receive the runtime frame the harness built for this run.
+
+        A fingerprinting chooser also arms its segment cache here and
+        attaches :meth:`invalidate` to the simulator's step probe, so
+        every event drops the cached walks it may have changed.
+        """
         self.frame = frame
+        if self.fingerprints:
+            self.segments = {}
+            self._step_probe = frame.sim.bus.probe(SIM_STEP)
+            self._step_probe.attach(self.invalidate)
+
+    def detach(self) -> None:
+        """Detach the invalidation sink and drop the segment cache (the
+        harness calls this however the execution ended)."""
+        if self._step_probe is not None:
+            self._step_probe.detach(self.invalidate)
+            self._step_probe = None
+        self.segments = None
+
+    def invalidate(self, handle: "EventHandle") -> None:
+        """Step-probe sink: forget the cached walks ``handle`` may change.
+
+        A delivery runs only its destination's handlers, so it marks that
+        one process dirty — the premise the sleep sets' same-destination
+        dependence already rests on.  Any other event (task step, timer,
+        callback) may touch any process and marks them all.
+        """
+        if handle._callback is self._deliver_cb:
+            self.segments.pop(handle._args[0].dest, None)
+        else:
+            self.segments.clear()
 
     def on_task(self, task: Any) -> None:
         self.tasks.append(task)

@@ -148,6 +148,7 @@ class ExplorationChooser(BaseChooser):
         sleep: frozenset,
     ) -> None:
         super().__init__()
+        self.fingerprints = explorer.dedup
         self.explorer = explorer
         self.prefix = prefix
         self.sleep = sleep
@@ -192,14 +193,7 @@ class ExplorationChooser(BaseChooser):
         }
         if explorer.dedup:
             fingerprint = state_fingerprint(
-                self.frame,
-                candidates,
-                tasks=self.tasks,
-                extra_stacks=[
-                    self.frame.adversary_consensi[pid]
-                    for pid in sorted(self.frame.adversary_consensi)
-                ],
-                fifo=self.fifo,
+                self.frame, candidates, self.tasks, self.fifo, self.segments
             )
             stored = explorer.visited.get(fingerprint)
             if stored is not None and stored <= self.sleep:

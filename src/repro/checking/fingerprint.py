@@ -20,6 +20,19 @@ deque order).  The fingerprint therefore hashes only:
 Excluded on purpose: message uids, handle sequence numbers, object
 identities, network counters — all vary between executions that are
 about to behave identically.
+
+The protocol walk is split into one **segment** per process: a correct
+pid's consensus object and RB engine, or a Byzantine pid's protocol
+stack.  Each segment is walked with its own memo set, so its tokens
+depend on that process's objects alone and a caller may keep them
+between fingerprints of one execution (``segments``), re-walking only
+the processes an event touched.
+
+The walk is strict: a value it cannot render canonically (an object
+from outside the ``repro`` package, a dict key or set member without a
+canonical form) raises :class:`FingerprintError` naming where it sits,
+rather than being reduced to its type name — two states differing only
+there would otherwise fingerprint equal and dedup would be unsound.
 """
 
 from __future__ import annotations
@@ -27,14 +40,17 @@ from __future__ import annotations
 import enum
 import hashlib
 import random
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
+
+from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..orchestration.runner import RuntimeFrame
     from ..sim.handles import EventHandle
     from ..sim.tasks import Task
 
-__all__ = ["canon", "state_fingerprint"]
+__all__ = ["FingerprintError", "canon", "state_fingerprint"]
 
 #: Types whose values are hashed verbatim.
 _PLAIN = (type(None), bool, int, float, str, bytes)
@@ -43,55 +59,137 @@ _PLAIN = (type(None), bool, int, float, str, bytes)
 #: cycle the memo set already breaks, or kernel plumbing we exclude.
 _MAX_CORO_DEPTH = 32
 
+#: Nesting depth past which :func:`canon` gives up on a value tree.
+_MAX_CANON_DEPTH = 8
+
+
+class FingerprintError(ReproError):
+    """A protocol-state value has no canonical rendering.
+
+    Raised instead of hashing a lossy stand-in (such as the type name),
+    which would let two different states share a fingerprint.
+    """
+
+
+# Per-class kinds: what canon() and the walk do with an instance.  Every
+# test below is a property of the class, so it is decided once per class.
+_SCALAR = 1  # a _PLAIN instance (subclasses included) or ⊥: its repr
+_ENUM = 2  # TypeName.member
+_SEQ = 3  # tuple / list
+_SET = 4  # set / frozenset
+_DICT = 5  # dict
+_EXCLUDED = 6  # kernel plumbing and callables: skipped by the walk
+_OBJECT = 7  # a repro.* object: walked attribute by attribute
+_FOREIGN = 8  # anything else: the walk refuses it
+
+_KINDS: dict[type, int] = {}
+
+
+def _classify(cls: type) -> int:
+    from ..core.values import Bot
+
+    if issubclass(cls, _PLAIN) or cls is Bot:
+        kind = _SCALAR
+    elif issubclass(cls, enum.Enum):
+        kind = _ENUM
+    elif issubclass(cls, (tuple, list)):
+        kind = _SEQ
+    elif issubclass(cls, (set, frozenset)):
+        kind = _SET
+    elif issubclass(cls, dict):
+        kind = _DICT
+    elif issubclass(cls, _excluded_types()) or any(
+        "__call__" in vars(klass) for klass in cls.__mro__
+    ):
+        kind = _EXCLUDED
+    elif cls.__module__.startswith("repro."):
+        kind = _OBJECT
+    else:
+        kind = _FOREIGN
+    _KINDS[cls] = kind
+    return kind
+
 
 def canon(value: Any, _depth: int = 0) -> str | None:
     """Canonical string of a *plain* value tree; ``None`` if not plain.
 
-    Plain means: scalars, enums, and tuples/lists/dicts/sets thereof.
+    Plain means: scalars (⊥ included), enums, and tuples/lists/dicts/sets
+    thereof.
     Deterministic across processes (no ids, no unordered iteration).
+    Stops at the first non-plain part.
     """
-    if isinstance(value, _PLAIN):
+    cls = type(value)
+    kind = _KINDS.get(cls) or _classify(cls)
+    if kind == _SCALAR:
         return repr(value)
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if _depth >= 8:
+    if kind == _ENUM:
+        return f"{cls.__name__}.{value.name}"
+    if kind > _DICT or _depth >= _MAX_CANON_DEPTH:
         return None
-    if isinstance(value, (tuple, list)):
-        parts = [canon(item, _depth + 1) for item in value]
-        if any(part is None for part in parts):
-            return None
-        bracket = "()" if isinstance(value, tuple) else "[]"
-        return bracket[0] + ",".join(parts) + bracket[1]
-    if isinstance(value, (set, frozenset)):
-        parts = [canon(item, _depth + 1) for item in value]
-        if any(part is None for part in parts):
-            return None
-        return "{" + ",".join(sorted(parts)) + "}"
-    if isinstance(value, dict):
+    depth = _depth + 1
+    kinds = _KINDS
+    # Scalar items are rendered inline: they are most of the leaves.
+    if kind == _DICT:
         items = []
         for key, item in value.items():
-            ckey = canon(key, _depth + 1)
-            citem = canon(item, _depth + 1)
-            if ckey is None or citem is None:
-                return None
+            if kinds.get(type(key)) == _SCALAR:
+                ckey = repr(key)
+            else:
+                ckey = canon(key, depth)
+                if ckey is None:
+                    return None
+            if kinds.get(type(item)) == _SCALAR:
+                citem = repr(item)
+            else:
+                citem = canon(item, depth)
+                if citem is None:
+                    return None
             items.append(f"{ckey}:{citem}")
-        return "{" + ",".join(sorted(items)) + "}"
-    return None
+        items.sort()
+        return "{" + ",".join(items) + "}"
+    parts = []
+    for item in value:
+        if kinds.get(type(item)) == _SCALAR:
+            parts.append(repr(item))
+            continue
+        part = canon(item, depth)
+        if part is None:
+            return None
+        parts.append(part)
+    if kind == _SET:
+        parts.sort()
+        return "{" + ",".join(parts) + "}"
+    if isinstance(value, tuple):
+        return "(" + ",".join(parts) + ")"
+    return "[" + ",".join(parts) + "]"
+
+
+_SLOTS: dict[type, tuple[str, ...]] = {}
+
+
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every ``__slots__`` name along ``cls``'s MRO, once each."""
+    names = _SLOTS.get(cls)
+    if names is None:
+        found: dict[str, None] = {}
+        for klass in cls.__mro__:
+            slots = klass.__dict__.get("__slots__", ())
+            for name in (slots,) if isinstance(slots, str) else slots:
+                found[name] = None
+        names = _SLOTS[cls] = tuple(found)
+    return names
 
 
 def _object_attrs(obj: Any) -> dict[str, Any]:
     """Instance attributes of ``obj``, covering ``__dict__`` and slots."""
-    items: dict[str, Any] = {}
     d = getattr(obj, "__dict__", None)
-    if d:
-        items.update(d)
-    for cls in type(obj).__mro__:
-        for name in getattr(cls, "__slots__", ()):
-            if name not in items:
-                try:
-                    items[name] = getattr(obj, name)
-                except AttributeError:
-                    pass
+    items: dict[str, Any] = dict(d) if d else {}
+    for name in _slot_names(type(obj)):
+        if name not in items:
+            try:
+                items[name] = getattr(obj, name)
+            except AttributeError:
+                pass
     return items
 
 
@@ -113,52 +211,82 @@ def _excluded_types() -> tuple[type, ...]:
     return _EXCLUDED_TYPES
 
 
-def _is_excluded(value: Any) -> bool:
-    """Kernel plumbing the structural walk must not descend into."""
-    return isinstance(value, _excluded_types()) or callable(value)
-
-
 def _walk(value: Any, label: str, out: list[str], seen: set[int]) -> None:
-    """Emit deterministic state tokens for one protocol-state value."""
-    plain = canon(value)
-    if plain is not None:
-        out.append(f"{label}={plain}")
+    """Emit deterministic state tokens for one protocol-state value.
+
+    A plain value becomes one ``label=canon`` token; a container that is
+    not plain is walked item by item.
+    """
+    cls = type(value)
+    kind = _KINDS.get(cls) or _classify(cls)
+    if kind == _SCALAR:
+        out.append(f"{label}={value!r}")
         return
-    if _is_excluded(value):
+    if kind == _ENUM:
+        out.append(f"{label}={cls.__name__}.{value.name}")
+        return
+    if kind == _EXCLUDED:
         # Bound-method callables etc. carry no state of their own; the
         # excluded kernel types are fingerprinted through other channels
         # (pending deliveries, coroutine stacks, decision snapshots).
+        return
+    if kind == _OBJECT:
+        if id(value) in seen:
+            out.append(f"{label}=<cycle>")
+            return
+        seen.add(id(value))
+        out.append(f"{label}:{cls.__name__}")
+        kinds = _KINDS
+        for name, item in sorted(_object_attrs(value).items()):
+            if kinds.get(type(item)) == _SCALAR:
+                out.append(f"{label}.{name}={item!r}")
+            else:
+                _walk(item, f"{label}.{name}", out, seen)
+        return
+    if kind == _FOREIGN:
+        raise FingerprintError(
+            f"{label}: a {cls.__module__}.{cls.__qualname__} object has no "
+            f"canonical form"
+        )
+    plain = canon(value)
+    if plain is not None:
+        out.append(f"{label}={plain}")
         return
     if id(value) in seen:
         out.append(f"{label}=<cycle>")
         return
     seen.add(id(value))
-    if isinstance(value, (tuple, list)):
+    if kind == _SEQ:
         for index, item in enumerate(value):
             _walk(item, f"{label}[{index}]", out, seen)
         return
-    if isinstance(value, dict):
+    if kind == _DICT:
         entries = []
         for key, item in value.items():
             ckey = canon(key)
-            entries.append((ckey if ckey is not None else type(key).__name__, item))
-        for ckey, item in sorted(entries, key=lambda pair: pair[0]):
+            if ckey is None:
+                raise FingerprintError(
+                    f"{label}: a dict key of type {type(key).__name__} has no "
+                    f"canonical form"
+                )
+            entries.append((ckey, item))
+        entries.sort(key=itemgetter(0))
+        for ckey, item in entries:
             _walk(item, f"{label}{{{ckey}}}", out, seen)
         return
-    if isinstance(value, (set, frozenset)):
-        parts = sorted(
-            canon(item) or type(item).__name__ for item in value
-        )
-        out.append(f"{label}={{{','.join(parts)}}}")
-        return
-    module = type(value).__module__
-    if module.startswith("repro."):
-        out.append(f"{label}:{type(value).__name__}")
-        for name, item in sorted(_object_attrs(value).items()):
-            _walk(item, f"{label}.{name}", out, seen)
-        return
-    # Foreign object: its type is all we can say deterministically.
-    out.append(f"{label}=<{type(value).__name__}>")
+    # A set whose members are not all plain at this depth: members are
+    # unordered, so each must still have a canonical form of its own.
+    members = []
+    for item in value:
+        part = canon(item)
+        if part is None:
+            raise FingerprintError(
+                f"{label}: a set member of type {type(item).__name__} has "
+                f"no canonical form"
+            )
+        members.append(part)
+    members.sort()
+    out.append(f"{label}={{{','.join(members)}}}")
 
 
 def _coro_tokens(task: "Task") -> list[str]:
@@ -189,12 +317,24 @@ def _coro_tokens(task: "Task") -> list[str]:
     return out
 
 
+def _segment_tokens(frame: "RuntimeFrame", pid: int, label: str) -> list[str]:
+    """The walk of one process's protocol objects, under its own memo."""
+    out: list[str] = []
+    seen: set[int] = set()
+    if pid in frame.consensi:
+        _walk(frame.consensi[pid], label, out, seen)
+        _walk(frame.rb_engines[pid], f"{label}.rb", out, seen)
+    else:
+        _walk(frame.adversary_consensi[pid], label, out, seen)
+    return out
+
+
 def state_fingerprint(
     frame: "RuntimeFrame",
     candidates: Iterable["EventHandle"],
     tasks: Iterable["Task"] = (),
-    extra_stacks: Iterable[Any] = (),
     fifo: bool = False,
+    segments: dict[int, list[str]] | None = None,
 ) -> str:
     """SHA-256 fingerprint of the global state at one choice point.
 
@@ -205,8 +345,16 @@ def state_fingerprint(
     of two pending messages on the same channel is part of the state
     (it fixes which is deliverable), so states differing only there must
     not fingerprint equal.  ``tasks`` are the coroutines created this
-    run (the chooser's ``on_task`` feed); ``extra_stacks`` are
-    additional protocol objects to walk (untracked adversary stacks).
+    run (the chooser's ``on_task`` feed).  The protocol stacks walked
+    are the frame's tracked processes and its protocol-running
+    adversaries.
+
+    ``segments`` is an optional per-execution cache, ``pid -> tokens``
+    of that process's protocol walk: present entries are reused as they
+    are, missing ones are walked and stored.  The caller must drop the
+    entry of every process whose state may have changed since it was
+    stored (:meth:`repro.checking.choice.BaseChooser.invalidate`).  The
+    digest is the same with or without the cache.
     """
     from .choice import message_key
 
@@ -233,12 +381,18 @@ def state_fingerprint(
         args = ",".join(canon(a) or type(a).__name__ for a in handle._args)
         timers.append(f"timer:{time!r}:{qualname}({args})")
     out.extend(sorted(timers))
-    seen: set[int] = set()
-    for pid in sorted(frame.consensi):
-        _walk(frame.consensi[pid], f"p{pid}", out, seen)
-        _walk(frame.rb_engines[pid], f"p{pid}.rb", out, seen)
-    for index, stack in enumerate(extra_stacks):
-        _walk(stack, f"adv{index}", out, seen)
+    labels = [(pid, f"p{pid}") for pid in sorted(frame.consensi)]
+    labels.extend(
+        (pid, f"adv{index}")
+        for index, pid in enumerate(sorted(frame.adversary_consensi))
+    )
+    for pid, label in labels:
+        tokens = None if segments is None else segments.get(pid)
+        if tokens is None:
+            tokens = _segment_tokens(frame, pid, label)
+            if segments is not None:
+                segments[pid] = tokens
+        out.extend(tokens)
     for pid in sorted(frame.consensi):
         decision = frame.consensi[pid].decision
         if decision.done() and not decision.cancelled():

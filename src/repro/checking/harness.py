@@ -108,6 +108,16 @@ def execute_run(
     try:
         return _drive(config, chooser, frame, max_steps)
     finally:
+        # Drop the chooser's fingerprint cache and its step-probe sink (a
+        # shared KernelContext bus would otherwise keep this frame alive),
+        # and uninstall the chooser: simulator -> chooser -> tasks ->
+        # simulator is a cycle, and breaking it frees most of the
+        # discarded frame by reference counting instead of at the next
+        # full collection.
+        detach = getattr(chooser, "detach", None)
+        if detach is not None:
+            detach()
+        frame.sim.set_chooser(None)
         # An aborted execution leaves tasks whose coroutines never ran a
         # single step; close them so the discarded frame is GC'd without
         # "coroutine was never awaited" warnings.

@@ -54,6 +54,8 @@ class ProbeChooser(BaseChooser):
     fingerprints are accumulated into a shared set.
     """
 
+    fingerprints = True
+
     def __init__(
         self,
         prefix: tuple[int, ...],
@@ -76,14 +78,7 @@ class ProbeChooser(BaseChooser):
         self.depth = depth + 1
         self.shallow.add(
             state_fingerprint(
-                self.frame,
-                candidates,
-                tasks=self.tasks,
-                extra_stacks=[
-                    self.frame.adversary_consensi[pid]
-                    for pid in sorted(self.frame.adversary_consensi)
-                ],
-                fifo=self.fifo,
+                self.frame, candidates, self.tasks, self.fifo, self.segments
             )
         )
         if depth >= len(self.prefix):
