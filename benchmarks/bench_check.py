@@ -1,24 +1,28 @@
 """Exhaustive-checker throughput: explored states per second.
 
 Explored-states/sec is the number that decides how large a model is
-checkable.  A state's cost has three parts:
+checkable.  A state's cost has three parts; the shares below are of
+cProfile time over one check-byz round (seed 1: the n=4, t=1
+``two_faced`` FIFO models, 40 executions each, 57,466 events, 1,157
+states) on an Intel Xeon vCPU:
 
-* **Re-execution.**  Every execution replays its schedule prefix from
-  event zero before it reaches new ground, so each state also pays for
-  the events that lead to it.  On the n=4, t=1 ``two_faced`` FIFO model
-  with 40 executions, that is ~49 events per distinct state.
-* **The per-event scan.**  Every event passes the check-mode candidate
-  scan (``Simulator._pop_next_chosen``, ``BaseChooser.channel_heads``)
-  and the invariant-progress check.  After the fingerprint work below,
-  the scan is the largest single cost: about a quarter of profiled time
-  on that model.
-* **One fingerprint per newly reached branching point.**  The pending
-  deliveries, timers, coroutine stacks and decisions are rebuilt on
-  every call, and so is the SHA-256 over ~600 tokens.  The protocol
-  walk is cached per process and redone only for the processes an
-  event touched since the last fingerprint: about 1.2 of the 4
-  processes per call on that model.  A call costs about 1 ms on an
-  Intel Xeon vCPU.  A full walk of every process costs about 4 ms.
+* **One fingerprint per newly reached branching point: ~52%, and the
+  per-process protocol walk alone ~46%.**  The walk is cached per
+  process and redone only for the processes an event touched since the
+  last fingerprint (about 1.2 of the 4 per call), so what is left is
+  ``canon`` over the RB instance tables of those processes.  The rest
+  — coroutine stacks, timers, decisions and the SHA-256 over ~600
+  tokens — is rebuilt on every call; pending-delivery keys come from a
+  per-execution memo.  A call costs about 1 ms unprofiled.
+* **Re-execution: ~23% in protocol handlers.**  Every execution replays
+  its schedule prefix from event zero before it reaches new ground, so
+  each state also pays for the ~49 events that lead to it.
+* **Per-event checker overhead: ~11% for the invariant-progress token
+  and invariant checks.**  The check-mode kernel itself is small: each
+  delivery is classified into the choice tier once, as it is scheduled;
+  forced moves are told from the first one or two candidates
+  (``BaseChooser.forced``, ~1%); channel heads are listed only on new
+  ground (``channel_heads``, ~0.4%).
 
 This bench exhausts the pinned n=2 FIFO models
 (the same ones the golden fixture and the acceptance tests use) and

@@ -9,11 +9,13 @@ before any positive-delay delivery (the virtual self channel's ``1e-9``
 delta beats every cross-process delay floor).
 
 A *schedule* is the tuple of candidate indices chosen at successive
-**branching** choice points — a lone candidate is a forced move and
-consumes no index, so schedules name only real decisions.  Candidates
-are presented in ready-tier (scheduling) order, which is itself a pure
-function of the choices made so far, so a schedule identifies one
-execution exactly.
+**branching** choice points — a forced move (a lone candidate, or under
+FIFO a single enabled channel head) consumes no index, so schedules name
+only real decisions.  Candidates are presented in scheduling order (the
+simulator's choice tier), which is itself a pure function of the choices
+made so far, so a schedule identifies one execution exactly.  Under FIFO
+a schedule may only name channel heads: replaying one that names a
+message behind its channel's head diverges.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import SimulationError
 from ..instrumentation import SIM_STEP
-from .fingerprint import FingerprintError, canon
+from .fingerprint import FingerprintCache, MessageKey, message_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
@@ -30,44 +32,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["MessageKey", "ScheduleChooser", "ScheduleDivergence", "message_key"]
 
-#: Semantic identity of a pending delivery: ``(sender, dest, tag,
-#: canonical payload)``.  Stable across executions (unlike kernel uids),
-#: so sleep sets keyed by it compare across DFS branches.
-MessageKey = tuple
-
 
 class ScheduleDivergence(SimulationError):
-    """A replayed schedule index fell outside the candidate set.
+    """A replayed schedule index names no enabled candidate.
 
-    Raised when a schedule recorded against one model is replayed
-    against a different one (wrong config, mutated protocol, stale
-    counterexample) — the choice tree no longer has the recorded shape.
+    Raised when the index falls outside the candidate set or, under
+    FIFO, names a message behind its channel's head — typically a
+    schedule recorded against a different model (wrong config, mutated
+    protocol, stale counterexample) whose choice tree no longer has the
+    recorded shape.
     """
-
-
-def message_key(message: Any) -> MessageKey:
-    """The semantic identity of one pending delivery.
-
-    Raises :class:`~repro.checking.fingerprint.FingerprintError` for a
-    payload with no canonical form: a shared stand-in would make
-    distinct messages look alike to dedup and the sleep sets.
-    """
-    payload = canon(message.payload)
-    if payload is None:
-        raise FingerprintError(
-            f"{message.tag} from p{message.sender} to p{message.dest}: the "
-            f"payload has no canonical form"
-        )
-    return (message.sender, message.dest, message.tag, payload)
 
 
 class BaseChooser:
-    """Shared choice-point detection, task tracking and the per-process
+    """Shared choice-point detection, task tracking and the per-execution
     fingerprint cache for choosers."""
 
     _deliver_cb: Any = None
     #: Whether this chooser fingerprints states: if so, :meth:`attach`
-    #: arms the segment cache and its invalidation sink.
+    #: arms the fingerprint cache and its invalidation sink.
     fingerprints: bool = False
 
     def __init__(self) -> None:
@@ -80,45 +63,50 @@ class BaseChooser:
         #: Whether the model's channels are FIFO: only per-channel head
         #: deliveries are enabled transitions then.
         self.fifo: bool = False
-        #: ``pid -> tokens`` of each process's protocol walk, valid for
-        #: this execution only (``state_fingerprint``'s ``segments``);
-        #: ``None`` while no cache is armed.
-        self.segments: dict[int, list[str]] | None = None
+        #: Segment walks and pending message keys, valid for this
+        #: execution only (``state_fingerprint``'s ``cache``); ``None``
+        #: while no cache is armed.
+        self.cache: FingerprintCache | None = None
         self._step_probe: Any = None
 
     def attach(self, frame: Any) -> None:
         """Receive the runtime frame the harness built for this run.
 
-        A fingerprinting chooser also arms its segment cache here and
-        attaches :meth:`invalidate` to the simulator's step probe, so
-        every event drops the cached walks it may have changed.
+        A fingerprinting chooser also arms its cache here and attaches
+        :meth:`invalidate` to the simulator's step probe, so every event
+        drops the cached facts it may have changed.
         """
         self.frame = frame
         if self.fingerprints:
-            self.segments = {}
+            self.cache = FingerprintCache()
             self._step_probe = frame.sim.bus.probe(SIM_STEP)
             self._step_probe.attach(self.invalidate)
 
     def detach(self) -> None:
-        """Detach the invalidation sink and drop the segment cache (the
-        harness calls this however the execution ended)."""
+        """Detach the invalidation sink and drop the cache (the harness
+        calls this however the execution ended)."""
         if self._step_probe is not None:
             self._step_probe.detach(self.invalidate)
             self._step_probe = None
-        self.segments = None
+        self.cache = None
 
     def invalidate(self, handle: "EventHandle") -> None:
-        """Step-probe sink: forget the cached walks ``handle`` may change.
+        """Step-probe sink: forget the cached facts ``handle`` may change.
 
         A delivery runs only its destination's handlers, so it marks that
         one process dirty — the premise the sleep sets' same-destination
-        dependence already rests on.  Any other event (task step, timer,
-        callback) may touch any process and marks them all.
+        dependence already rests on — and retires its own message key:
+        the probe fires before the handle runs, so the entry is gone
+        before the kernel can recycle the handle for another message.
+        Any other event (task step, timer, callback) may touch any
+        process and marks them all; it carries no message key.
         """
+        cache = self.cache
         if handle._callback is self._deliver_cb:
-            self.segments.pop(handle._args[0].dest, None)
+            cache.segments.pop(handle._args[0].dest, None)
+            cache.keys.pop(handle, None)
         else:
-            self.segments.clear()
+            cache.segments.clear()
 
     def on_task(self, task: Any) -> None:
         self.tasks.append(task)
@@ -128,13 +116,42 @@ class BaseChooser:
         self._deliver_cb = network._deliver_cb
         self.fifo = bool(getattr(network, "_fifo", False))
 
+    def key_of(self, handle: "EventHandle") -> MessageKey:
+        """The message key of a pending delivery, memoised while a cache
+        is armed."""
+        if self.cache is None:
+            return message_key(handle._args[0])
+        return self.cache.entry(handle)[0]
+
+    def forced(self, candidates: list["EventHandle"]) -> bool:
+        """Whether the choice point is a forced move: one enabled
+        candidate, namely ``candidates[0]``.
+
+        True for a lone candidate, and under FIFO when every candidate
+        shares the first one's channel; the scan stops at the first
+        candidate on another channel, usually the second.
+        """
+        if len(candidates) == 1:
+            return True
+        if not self.fifo:
+            return False
+        first = candidates[0]._args[0]
+        sender = first.sender
+        dest = first.dest
+        for handle in candidates:
+            message = handle._args[0]
+            if message.dest != dest or message.sender != sender:
+                return False
+        return True
+
     def channel_heads(self, candidates: list["EventHandle"]) -> list[int]:
         """Indices of the *enabled* candidate deliveries.
 
         Without FIFO every pending delivery may go next.  With FIFO only
         the oldest pending message of each ``(sender, dest)`` channel is
-        enabled — candidates sit in the ready deque in send order, so
-        the first occurrence per channel is that channel's head.
+        enabled — candidates are in send order, so the first occurrence
+        per channel is that channel's head (``candidates[0]`` is
+        always one).
         """
         if not self.fifo:
             return list(range(len(candidates)))
@@ -150,7 +167,8 @@ class BaseChooser:
         return heads
 
     def is_choice(self, handle: "EventHandle") -> bool:
-        """Whether a ready handle is a cross-process message delivery."""
+        """Whether ``handle`` delivers a message between two distinct
+        processes."""
         if handle._callback is not self._deliver_cb:
             return False
         message = handle._args[0]
@@ -175,12 +193,11 @@ class ScheduleChooser(BaseChooser):
         self.trail: list[int] = []
 
     def choose(self, candidates: list["EventHandle"]) -> int:
-        heads = self.channel_heads(candidates)
-        if len(heads) == 1:
+        if self.forced(candidates):
             # Forced move: no index consumed, none recorded.  Schedules
             # stay short and survive model edits that only change the
             # length of forced corridors between branch points.
-            return heads[0]
+            return 0
         if self.position < len(self.schedule):
             index = self.schedule[self.position]
             self.position += 1
@@ -190,7 +207,15 @@ class ScheduleChooser(BaseChooser):
                     f"{self.position - 1} ({len(candidates)} candidates) — "
                     f"the schedule was recorded against a different model"
                 )
+            if self.fifo and index not in self.channel_heads(candidates):
+                raise ScheduleDivergence(
+                    f"schedule index {index} at choice point "
+                    f"{self.position - 1} is not the head of its FIFO "
+                    f"channel — the schedule was recorded against a "
+                    f"different model"
+                )
         else:
-            index = heads[0]
+            # Default continuation: the first candidate, always a head.
+            index = 0
         self.trail.append(index)
         return index

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .choice import BaseChooser, ScheduleChooser, message_key
+from .choice import BaseChooser, ScheduleChooser
 from .fingerprint import state_fingerprint
 from .harness import DEFAULT_MAX_STEPS, RunAbort, RunOutcome, execute_run
 
@@ -159,23 +159,22 @@ class ExplorationChooser(BaseChooser):
         explorer = self.explorer
         stats = explorer.stats
         depth = self.depth
-        heads = self.channel_heads(candidates)
-        if len(heads) == 1:
+        if self.forced(candidates):
             # Forced move (lone candidate, or FIFO left one enabled
             # head): no index, no fingerprint — but the delivery still
             # wakes dependent (same-dest) sleep members, and past the
             # prefix a *slept* forced delivery means this branch can
             # only re-derive an interleaving a sibling order already
-            # covered (classic sleep-set leaf).
-            index = heads[0]
-            key = message_key(candidates[index]._args[0])
-            if key in self.sleep and depth >= len(self.prefix):
-                stats.pruned += 1
-                raise RunAbort("pruned")
-            self.sleep = frozenset(
-                k for k in self.sleep if k[1] != key[1]
-            )
-            return index
+            # covered (classic sleep-set leaf).  An empty sleep set has
+            # nothing to check or wake, so the key is not even needed.
+            sleep = self.sleep
+            if sleep:
+                key = self.key_of(candidates[0])
+                if key in sleep and depth >= len(self.prefix):
+                    stats.pruned += 1
+                    raise RunAbort("pruned")
+                self.sleep = frozenset(k for k in sleep if k[1] != key[1])
+            return 0
         self.depth = depth + 1
         stats.choice_points += 1
         if depth > stats.max_depth:
@@ -187,13 +186,14 @@ class ExplorationChooser(BaseChooser):
             return index
         if explorer.max_depth is not None and depth >= explorer.max_depth:
             raise RunAbort("depth")
+        key_of = self.key_of
         keys = {
-            index: message_key(candidates[index]._args[0])
-            for index in heads
+            index: key_of(candidates[index])
+            for index in self.channel_heads(candidates)
         }
         if explorer.dedup:
             fingerprint = state_fingerprint(
-                self.frame, candidates, self.tasks, self.fifo, self.segments
+                self.frame, candidates, self.tasks, self.fifo, self.cache
             )
             stored = explorer.visited.get(fingerprint)
             if stored is not None and stored <= self.sleep:
@@ -211,8 +211,7 @@ class ExplorationChooser(BaseChooser):
         sleep = self.sleep
         explorable: list[int] = []
         seen_keys: set = set()
-        for index in heads:
-            key = keys[index]
+        for index, key in keys.items():
             if key in sleep or key in seen_keys:
                 # Slept: covered by an already-explored sibling order.
                 # Duplicate key: delivering either copy first leads to

@@ -25,8 +25,10 @@ The protocol walk is split into one **segment** per process: a correct
 pid's consensus object and RB engine, or a Byzantine pid's protocol
 stack.  Each segment is walked with its own memo set, so its tokens
 depend on that process's objects alone and a caller may keep them
-between fingerprints of one execution (``segments``), re-walking only
-the processes an event touched.
+between fingerprints of one execution (:class:`FingerprintCache`),
+re-walking only the processes an event touched.  The same cache keeps
+each pending delivery's message key, computed once per message rather
+than once per fingerprint.
 
 The walk is strict: a value it cannot render canonically (an object
 from outside the ``repro`` package, a dict key or set member without a
@@ -50,7 +52,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.handles import EventHandle
     from ..sim.tasks import Task
 
-__all__ = ["FingerprintError", "canon", "state_fingerprint"]
+__all__ = [
+    "FingerprintCache",
+    "FingerprintError",
+    "MessageKey",
+    "canon",
+    "message_key",
+    "state_fingerprint",
+]
 
 #: Types whose values are hashed verbatim.
 _PLAIN = (type(None), bool, int, float, str, bytes)
@@ -162,6 +171,64 @@ def canon(value: Any, _depth: int = 0) -> str | None:
     if isinstance(value, tuple):
         return "(" + ",".join(parts) + ")"
     return "[" + ",".join(parts) + "]"
+
+
+#: Semantic identity of a pending delivery: ``(sender, dest, tag,
+#: canonical payload)``.  Stable across executions (unlike kernel uids),
+#: so sleep sets keyed by it compare across DFS branches.
+MessageKey = tuple
+
+
+def message_key(message: Any) -> MessageKey:
+    """The semantic identity of one pending delivery.
+
+    Raises :class:`FingerprintError` for a payload with no canonical
+    form: a shared stand-in would make distinct messages look alike to
+    dedup and the sleep sets.
+    """
+    payload = canon(message.payload)
+    if payload is None:
+        raise FingerprintError(
+            f"{message.tag} from p{message.sender} to p{message.dest}: the "
+            f"payload has no canonical form"
+        )
+    return (message.sender, message.dest, message.tag, payload)
+
+
+class FingerprintCache:
+    """What :func:`state_fingerprint` may keep between the choice points
+    of one execution.
+
+    * ``segments`` — ``pid -> tokens`` of that process's protocol walk;
+    * ``keys`` — ``handle -> (message key, its repr)`` of each pending
+      delivery, filled on first use by :meth:`entry`.
+
+    The owner must drop the segment of every process an event may have
+    changed and a delivery's key when its handle runs — before the
+    kernel can recycle the handle for another message
+    (:meth:`repro.checking.choice.BaseChooser.invalidate` does both).
+    A key stays valid while its message is in flight because payloads
+    are never mutated once sent.
+    """
+
+    __slots__ = ("segments", "keys")
+
+    def __init__(self) -> None:
+        self.segments: dict[int, list[str]] = {}
+        self.keys: dict["EventHandle", tuple[MessageKey, str]] = {}
+
+    def entry(self, handle: "EventHandle") -> tuple[MessageKey, str]:
+        """``(key, repr(key))`` of the message a pending delivery carries."""
+        entry = self.keys.get(handle)
+        if entry is None:
+            key = message_key(handle._args[0])
+            entry = self.keys[handle] = (key, repr(key))
+        return entry
+
+
+def _uncached_entry(handle: "EventHandle") -> tuple[MessageKey, str]:
+    key = message_key(handle._args[0])
+    return key, repr(key)
 
 
 _SLOTS: dict[type, tuple[str, ...]] = {}
@@ -334,44 +401,40 @@ def state_fingerprint(
     candidates: Iterable["EventHandle"],
     tasks: Iterable["Task"] = (),
     fifo: bool = False,
-    segments: dict[int, list[str]] | None = None,
+    cache: FingerprintCache | None = None,
 ) -> str:
     """SHA-256 fingerprint of the global state at one choice point.
 
-    Called when every live ready handle is a pending cross-process
-    delivery (``candidates``), so the ready tier contributes exactly its
-    sorted semantic multiset.  With ``fifo`` the multiset is grouped
-    into per-channel *sequences* instead: under FIFO channels the order
-    of two pending messages on the same channel is part of the state
-    (it fixes which is deliverable), so states differing only there must
-    not fingerprint equal.  ``tasks`` are the coroutines created this
-    run (the chooser's ``on_task`` feed).  The protocol stacks walked
-    are the frame's tracked processes and its protocol-running
-    adversaries.
+    Called at a choice point, where ``candidates`` (the simulator's
+    choice tier) holds every pending cross-process delivery, so they
+    contribute exactly their sorted semantic multiset.  With ``fifo``
+    the multiset is grouped into per-channel *sequences* instead: under
+    FIFO channels the order of two pending messages on the same channel
+    is part of the state (it fixes which is deliverable), so states
+    differing only there must not fingerprint equal.  ``tasks`` are the
+    coroutines created this run (the chooser's ``on_task`` feed).  The
+    protocol stacks walked are the frame's tracked processes and its
+    protocol-running adversaries.
 
-    ``segments`` is an optional per-execution cache, ``pid -> tokens``
-    of that process's protocol walk: present entries are reused as they
-    are, missing ones are walked and stored.  The caller must drop the
-    entry of every process whose state may have changed since it was
-    stored (:meth:`repro.checking.choice.BaseChooser.invalidate`).  The
-    digest is the same with or without the cache.
+    ``cache`` is an optional per-execution :class:`FingerprintCache`:
+    present segments and message keys are reused as they are, missing
+    ones are computed and stored.  The caller keeps it valid (see the
+    class).  The digest is the same with or without the cache; without
+    one, every segment and every key is computed afresh.
     """
-    from .choice import message_key
-
+    entry = _uncached_entry if cache is None else cache.entry
     out: list[str] = [f"now={frame.sim.now!r}"]
     if fifo:
         queues: dict[tuple[int, int], list[str]] = {}
         for handle in candidates:
-            message = handle._args[0]
-            queues.setdefault((message.sender, message.dest), []).append(
-                repr(message_key(message))
-            )
+            key, token = entry(handle)
+            queues.setdefault((key[0], key[1]), []).append(token)
         out.extend(
             f"chan:{channel!r}:" + ";".join(keys)
             for channel, keys in sorted(queues.items())
         )
     else:
-        out.extend(sorted(repr(message_key(h._args[0])) for h in candidates))
+        out.extend(sorted(entry(handle)[1] for handle in candidates))
     deliver_cb = frame.network._deliver_cb
     timers = []
     for time, _seq, handle in frame.sim._heap:
@@ -386,6 +449,7 @@ def state_fingerprint(
         (pid, f"adv{index}")
         for index, pid in enumerate(sorted(frame.adversary_consensi))
     )
+    segments = None if cache is None else cache.segments
     for pid, label in labels:
         tokens = None if segments is None else segments.get(pid)
         if tokens is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .choice import BaseChooser, message_key
+from .choice import BaseChooser
 from .fingerprint import state_fingerprint
 from .harness import DEFAULT_MAX_STEPS, RunAbort, execute_run
 
@@ -69,23 +69,22 @@ class ProbeChooser(BaseChooser):
         self.probed: tuple[int, ...] | None = None
 
     def choose(self, candidates: list["EventHandle"]) -> int:
-        heads = self.channel_heads(candidates)
-        if len(heads) == 1:
+        if self.forced(candidates):
             # Forced move — not a branching point, not fingerprinted by
             # the explorer either, so it contributes no shallow state.
-            return heads[0]
+            return 0
         depth = self.depth
         self.depth = depth + 1
         self.shallow.add(
             state_fingerprint(
-                self.frame, candidates, self.tasks, self.fifo, self.segments
+                self.frame, candidates, self.tasks, self.fifo, self.cache
             )
         )
         if depth >= len(self.prefix):
             explorable: list[int] = []
             seen_keys: set = set()
-            for index in heads:
-                key = message_key(candidates[index]._args[0])
+            for index in self.channel_heads(candidates):
+                key = self.key_of(candidates[index])
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)

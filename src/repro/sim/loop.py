@@ -17,6 +17,11 @@ two tiers are merged by ``(time, seq)`` at execution, so the observable
 order is *identical* to a single global priority queue — golden-trace
 fixtures (``tests/golden/``) pin this bit for bit.
 
+In check mode (:meth:`set_chooser`) a third container, the *choice
+tier*, holds the same-instant cross-process deliveries a schedule
+chooser picks from; each delivery is classified into it once, as it is
+scheduled.  Without a chooser it stays empty and costs nothing.
+
 Cancelled events are removed lazily: cancellation just flags the handle
 (and, for heap entries, bumps a counter), tombstones are skipped when
 they surface, and the heap is compacted in one pass when more than half
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Coroutine
 
 from ..errors import DeadlineExceeded, DeadlockError, SimulationError
@@ -86,6 +92,13 @@ class Simulator:
         #: becomes an explicit choice instead of FIFO.  ``None`` (the
         #: default) keeps every hot path untouched.
         self._chooser: Any | None = None
+        #: The choice tier (chooser mode only): same-instant deliveries
+        #: the chooser classified as choice points, in scheduling order.
+        self._choices: list[EventHandle] = []
+        #: Where :meth:`schedule_delivery` puts a same-instant delivery:
+        #: the ready deque itself, or the chooser-mode classifier —
+        #: routed by attribute so the sampling path pays no branch.
+        self._push_delivery: Callable[[EventHandle], None] = self._ready.append
 
     # ------------------------------------------------------------------
     # Time and scheduling
@@ -177,7 +190,7 @@ class Simulator:
             handle = EventHandle(time, seq, callback, [arg])
             handle._pooled = True
         if time == self._clock._now:
-            self._ready.append(handle)
+            self._push_delivery(handle)
         else:
             # No ``_loop`` backref: pooled handles are never cancelled,
             # so they never feed the lazy-compaction accounting.
@@ -289,16 +302,26 @@ class Simulator:
         decision.  The protocol (duck-typed; see
         :mod:`repro.checking.choice`):
 
-        * ``is_choice(handle) -> bool``: whether a ready handle is a
-          *choice point* (a cross-process message delivery) rather than
-          an internal event (task step, callback, self-delivery), which
-          always runs eagerly in FIFO order;
-        * ``choose(candidates) -> int``: pick the next handle when every
-          live ready handle is a choice (called even for singletons;
-          choosers treat a lone candidate as a forced move that consumes
-          no schedule index);
+        * ``is_choice(handle) -> bool``: whether a same-instant delivery
+          is a *choice point* (a cross-process message delivery) rather
+          than an internal event (self-delivery), which runs eagerly in
+          FIFO order like task steps and callbacks.  It is asked once per
+          delivery, as :meth:`schedule_delivery` enqueues it: accepted
+          handles go to the **choice tier** (``_choices``, in scheduling
+          order), everything else to the ready deque;
+        * ``choose(candidates) -> int``: pick the next handle when no
+          internal event is ready.  ``candidates`` is the choice tier
+          itself, in scheduling order — read it, never mutate it.  It
+          is called even for singletons; choosers treat a forced move
+          (a lone candidate, or under FIFO one enabled channel head) as
+          consuming no schedule index;
         * optionally ``on_task(task)``: observe task creation (the
           checker fingerprints coroutine stacks).
+
+        Install a chooser before any delivery is scheduled: deliveries
+        already queued stay internal events.  Clearing it merges pending
+        choice handles back into the ready deque in ``seq`` order, so
+        the run continues exactly as if there had been no tier.
 
         With a chooser installed, the ready tier drains fully before any
         heap entry runs — heap timers fire only at ready-quiescence.
@@ -307,35 +330,46 @@ class Simulator:
         stack behaves for instant deliveries.
         """
         self._chooser = chooser
+        if chooser is not None:
+            self._push_delivery = self._push_delivery_chosen
+            return
+        self._push_delivery = self._ready.append
+        choices = self._choices
+        if choices:
+            ready = self._ready
+            merged = list(heapq.merge(ready, choices, key=attrgetter("seq")))
+            ready.clear()
+            ready.extend(merged)
+            choices.clear()
+
+    def _push_delivery_chosen(self, handle: EventHandle) -> None:
+        """Classify one same-instant delivery into its tier (chooser mode)."""
+        if self._chooser.is_choice(handle):
+            self._choices.append(handle)
+        else:
+            self._ready.append(handle)
 
     def _pop_next_chosen(self) -> EventHandle | None:
         """The chooser-mode variant of :meth:`_pop_next`.
 
-        Internal (non-choice) ready events run first, in FIFO order;
-        when only choice events remain, the chooser picks one.  The heap
-        is consulted only once the ready tier is empty, so timers fire
-        at quiescence regardless of their (time, seq) rank against
+        Internal ready events run first, in FIFO order; when none is
+        left, the chooser picks one handle of the choice tier.  The heap
+        is consulted only once both are empty, so timers fire at
+        quiescence regardless of their (time, seq) rank against
         same-instant ready entries — part of the check-mode contract
         (exploration and replay agree on it, so runs stay bit-identical).
         """
         ready = self._ready
-        while ready and ready[0]._cancelled:
-            ready.popleft()
-        if not ready:
-            return self._pop_next()
-        chooser = self._chooser
-        is_choice = chooser.is_choice
-        candidates: list[EventHandle] = []
-        for handle in ready:
-            if handle._cancelled:
-                continue
-            if not is_choice(handle):
-                ready.remove(handle)  # identity-based: no __eq__ on handles
+        while ready:
+            handle = ready.popleft()
+            if not handle._cancelled:
                 return handle
-            candidates.append(handle)
-        chosen = candidates[chooser.choose(candidates)]
-        ready.remove(chosen)
-        return chosen
+        choices = self._choices
+        if choices:
+            # Pooled delivery handles are never cancelled: every entry
+            # of the choice tier is live.
+            return choices.pop(self._chooser.choose(choices))
+        return self._pop_next()
 
     def step(self) -> bool:
         """Run the next scheduled event; return False if none remain."""
@@ -379,6 +413,8 @@ class Simulator:
             # Ready entries are always at the current instant, which no
             # live heap entry can precede.
             return ready[0].time
+        if self._choices:
+            return self._choices[0].time
         heap = self._heap
         while heap and heap[0][2]._cancelled:
             heapq.heappop(heap)
@@ -620,8 +656,10 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events."""
-        return sum(1 for handle in self._ready if not handle._cancelled) + sum(
-            1 for entry in self._heap if not entry[2]._cancelled
+        return (
+            sum(1 for handle in self._ready if not handle._cancelled)
+            + len(self._choices)
+            + sum(1 for entry in self._heap if not entry[2]._cancelled)
         )
 
     def __repr__(self) -> str:

@@ -11,6 +11,7 @@ the reduction toggles and replay determinism.
 
 import pytest
 
+from repro.adversary.strategies import two_faced
 from repro.checking import (
     Explorer,
     ScheduleChooser,
@@ -108,8 +109,10 @@ def test_exploration_is_deterministic():
 def test_schedule_replay_is_deterministic(exhaustive):
     # Any branching prefix replays to the same trail, steps and
     # decisions, twice in a row — the bit-identical replay contract the
-    # counterexample workflow stands on.
-    for schedule in [(), (1,), (1, 1)]:
+    # counterexample workflow stands on.  Every index names a FIFO
+    # channel head: at the second branching point of (1, ...) index 1
+    # is a message behind its channel's head, so (1, 1) diverges.
+    for schedule in [(), (1,), (1, 0)]:
         outcomes = [
             execute_run(small_model(), ScheduleChooser(schedule))
             for _ in range(2)
@@ -124,6 +127,47 @@ def test_schedule_replay_is_deterministic(exhaustive):
 def test_out_of_range_schedule_index_diverges():
     outcome = execute_run(small_model(), ScheduleChooser((99,)))
     assert outcome.status == "divergence"
+
+
+def byzantine_replay_model(fifo: bool) -> RunConfig:
+    return RunConfig(
+        n=4, t=1, proposals={1: "a", 2: "a", 3: "b"},
+        adversaries={4: two_faced("z")}, max_rounds=1, fifo=fifo,
+    )
+
+
+def test_replaying_a_non_head_index_diverges_under_fifo():
+    # At the first branching point, candidate 12 is p4 -> p1 RB_ECHO,
+    # queued behind p4 -> p1 RB_INIT on the same FIFO channel: replaying
+    # it would deliver the echo first and break FIFO order.
+    chooser = ScheduleChooser(())
+    first = []
+
+    def record(candidates):
+        if not first and not chooser.forced(candidates):
+            first.extend(
+                (h._args[0].sender, h._args[0].dest, h._args[0].tag)
+                for h in candidates
+            )
+            first.append(chooser.channel_heads(candidates))
+        return ScheduleChooser.choose(chooser, candidates)
+
+    chooser.choose = record
+    execute_run(byzantine_replay_model(fifo=True), chooser)
+    heads = first.pop()
+    assert first[12] == (4, 1, "RB_ECHO")
+    assert (4, 1, "RB_INIT") in first[:12]
+    assert 12 not in heads
+
+    model = byzantine_replay_model(fifo=True)
+    assert execute_run(model, ScheduleChooser((12,))).status == "divergence"
+    # Without FIFO every pending delivery is enabled: the same index
+    # replays.
+    outcome = execute_run(
+        byzantine_replay_model(fifo=False), ScheduleChooser((12,))
+    )
+    assert outcome.status == "complete"
+    assert outcome.trail[0] == 12
 
 
 def test_forced_moves_consume_no_schedule_index():

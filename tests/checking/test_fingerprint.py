@@ -106,7 +106,7 @@ def test_oracle_catches_a_delivery_that_marks_nothing_dirty(
 ):
     def deliveries_ignored(self, handle):
         if handle._callback is not self._deliver_cb:
-            self.segments.clear()
+            self.cache.segments.clear()
 
     monkeypatch.setattr(BaseChooser, "invalidate", deliveries_ignored)
     Explorer(golden_model()).run()
@@ -158,10 +158,10 @@ def test_detach_drops_the_segment_cache():
     chooser.fingerprints = True
     bus = InstrumentationBus()
     chooser.attach(SimpleNamespace(sim=SimpleNamespace(bus=bus)))
-    assert chooser.segments == {}
+    assert chooser.cache.segments == {} and chooser.cache.keys == {}
     assert len(bus.probe(SIM_STEP).sinks) == 1
     chooser.detach()
-    assert chooser.segments is None
+    assert chooser.cache is None
     assert bus.probe(SIM_STEP).sinks == ()
 
 
